@@ -1,17 +1,15 @@
 """Real multi-core solve scaling across execution backends (DESIGN.md §5h).
 
 The orchestrated runtime and the ``threads`` backend share one Python
-process — one GIL, one BLAS pool — so their host wall-clock cannot beat
-single-core.  The ``mp`` backend runs every rank as a spawned OS process
-with an independent BLAS pool: on a multi-core host the rank-local GEMM
-work of a solve genuinely overlaps, and the measured speedup should
-approach the Amdahl bound
+process.  The ``mp`` backend runs every rank as a spawned OS process
+and moves the collective payloads through shared memory; the rank-local
+kernels of every backend run in the orchestrating process on the
+kernel executor's host-sized thread pool (DESIGN.md §5c).  The
+measured speedup is set against the Amdahl bound
 :func:`repro.perfmodel.calibrate.predicted_backend_speedup`.
 
 Each point solves the *same* problem on ``orchestrated``, ``threads``
-and ``mp`` (the mp run with ``REPRO_KERNEL_WORKERS = n_ranks`` so the
-kernel plane fans the HEMM/axpby batches across the worker pool) and
-re-verifies the §5h contract on every backend:
+and ``mp`` and re-verifies the §5h contract on every backend:
 
 * eigenpairs and residual norms bit-identical to orchestrated;
 * modeled CommStats (legacy triple and per-level split) identical, with
@@ -53,7 +51,7 @@ from repro import ChaseConfig, ChaseSolver
 from repro.distributed import DistributedHermitian
 from repro.matrices import uniform_matrix
 from repro.perfmodel.calibrate import predicted_backend_speedup
-from repro.runtime import Grid2D, VirtualCluster, kernel_worker_scope
+from repro.runtime import Grid2D, VirtualCluster
 
 JSON_PATH = ROOT / "BENCH_wallclock.json"
 
@@ -63,18 +61,15 @@ BACKENDS = ("orchestrated", "threads", "mp")
 TARGET_MP_SPEEDUP_4RANKS = 1.5
 
 
-def solve_point(backend: str, p: int, q: int, H, nev: int, nex: int,
-                workers: int = 1):
+def solve_point(backend: str, p: int, q: int, H, nev: int, nex: int):
     """One timed solve; returns (wall_s, result, stats, levels)."""
     with VirtualCluster(p * q, backend=backend) as cluster:
         grid = Grid2D(cluster, p, q)
         Hd = DistributedHermitian.from_dense(grid, H)
         solver = ChaseSolver(grid, Hd, ChaseConfig(nev=nev, nex=nex))
-        with kernel_worker_scope(workers):
-            t0 = time.perf_counter()
-            res = solver.solve(rng=np.random.default_rng(7),
-                               return_vectors=True)
-            wall = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        res = solver.solve(rng=np.random.default_rng(7), return_vectors=True)
+        wall = time.perf_counter() - t0
         final = solver.grid
         return wall, res, final.comm_stats(), final.comm_stats_levels()
 
@@ -86,9 +81,7 @@ def bench_grid(p: int, q: int, N: int, nev: int, nex: int) -> dict:
     walls, conform = {}, {}
     base = None
     for backend in BACKENDS:
-        workers = n_ranks if backend == "mp" else 1
-        wall, res, stats, levels = solve_point(
-            backend, p, q, H, nev, nex, workers=workers)
+        wall, res, stats, levels = solve_point(backend, p, q, H, nev, nex)
         walls[backend] = wall
         if backend == "orchestrated":
             base = (res, stats, levels)
@@ -147,9 +140,9 @@ def main(argv=None) -> int:
         "description": (
             "Real host wall-clock of identical solves on the three "
             "execution backends (DESIGN.md §5h); mp runs every rank as "
-            "a spawned process with its own BLAS pool and "
-            "REPRO_KERNEL_WORKERS=n_ranks.  Bit-identity and modeled/"
-            "wire CommStats parity verified on every point."
+            "a spawned process for the collective data plane, kernels "
+            "run in process on the executor pool.  Bit-identity and "
+            "modeled/wire CommStats parity verified on every point."
         ),
         "cores": cores,
         "target_mp_speedup_4ranks": TARGET_MP_SPEEDUP_4RANKS,

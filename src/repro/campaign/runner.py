@@ -61,6 +61,7 @@ from repro.runtime import (
     VirtualCluster,
     kernel_worker_scope,
 )
+from repro.runtime.executor import blas_thread_guard
 from repro.service.jobs import SolveJob
 from repro.service.scheduler import (
     RunOutcome,
@@ -281,7 +282,8 @@ def _execute_solve(cfg: Mapping[str, Any]) -> dict[str, Any]:
         res = solver.solve(rng=np.random.default_rng(cfg["seed"] + 1))
         out = _solver_result(res, grid)
     if cfg["oracle"]:
-        exact = np.linalg.eigvalsh(H)[: cfg["nev"]]
+        with blas_thread_guard():  # host-independent bits, like the solve
+            exact = np.linalg.eigvalsh(H)[: cfg["nev"]]
         out["oracle_err"] = float(
             np.max(np.abs(res.eigenvalues[: cfg["nev"]] - exact))
         )

@@ -752,14 +752,15 @@ class ChaseSolver:
         With no plan armed, the control flow, modeled charges and
         numerics are bit-identical to a build without fault support.
 
-        The solve runs on the cluster's execution backend (DESIGN.md
-        §5h): the transport's kernel plane (mp backend) is installed
-        for the solve's duration, and on completion the backend's wire
-        account is asserted against the modeled CommStats — the
-        oracle-parity invariant.
+        Every BLAS pool is pinned to one thread for the whole solve
+        (``executor.blas_thread_guard``): the kernel executor supplies
+        the parallelism, and the bits do not depend on the host's BLAS
+        pool size.  The solve runs on the cluster's execution backend
+        (DESIGN.md §5h); on completion the backend's wire account is
+        asserted against the modeled CommStats — the oracle-parity
+        invariant.
         """
-        transport = self.grid.cluster.transport
-        with executor.kernel_plane_scope(transport.kernel_plane):
+        with executor.blas_thread_guard():
             result = self._solve_numeric(V0, rng, return_vectors,
                                          bounds=bounds,
                                          return_subspace=return_subspace)

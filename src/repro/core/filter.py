@@ -16,6 +16,8 @@ and the working set shrinks monotonically (minimizing MatVecs).
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from repro.distributed.hemm import DistributedHemm
@@ -61,10 +63,10 @@ def mv_axpby(
 
     ``out`` (dedup mode only) receives the result in place — its root
     blocks may alias ``X``'s (the recurrence passes ``out=X``) but must
-    not alias ``Y``'s.  With ``out`` or kernel workers > 1 the charges
-    are issued first on the main thread and the per-group arithmetic
-    runs as pure closures (``repro.runtime.executor``); the bits and
-    the modeled charges are unchanged.
+    not alias ``Y``'s.  With ``out`` the charges are issued first on the
+    main thread and the per-group arithmetic runs as pure closures
+    (``repro.runtime.executor``); the bits and the modeled charges are
+    unchanged.
     """
     if X.layout != Y.layout or X.ne != Y.ne:
         raise ValueError("mv_axpby needs same-layout, same-width multivectors")
@@ -75,7 +77,7 @@ def mv_axpby(
         or out.layout != X.layout or out.ne != X.ne
     ):
         out = None
-    if dedup and (out is not None or executor.kernel_workers() > 1):
+    if dedup and out is not None:
         # decoupled: charge every rank (seed order), then compute once
         # per replication group
         for i in range(grid.p):
@@ -84,19 +86,13 @@ def mv_axpby(
                     alpha, X.blocks[(i, j)], beta, Y.blocks[(i, j)], compute=False
                 )
         roots = X.unique_keys()
-        # KernelCall descriptors (not closures) so the recurrence's axpbys
-        # can ship to the mp backend's kernel plane (DESIGN.md §5h);
-        # elementwise math is bit-identical for any operand layout, and
-        # with out=None the batch stays on the in-process paths
         results = executor.run_kernels(
             [
-                executor.KernelCall(
-                    axpby_numeric,
-                    (alpha, X.blocks[key], beta, Y.blocks[key]),
-                    out=out.blocks[key] if out is not None else None,
-                )
+                partial(axpby_numeric, alpha, X.blocks[key], beta,
+                        Y.blocks[key], out=out.blocks[key])
                 for key in roots
-            ]
+            ],
+            sum(out.blocks[key].size for key in roots),
         )
         by_root = dict(zip(roots, results))
         blocks = {

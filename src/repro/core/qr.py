@@ -24,6 +24,7 @@ allreduce per repetition — this is the paper's Table 2 speedup.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -140,7 +141,7 @@ def _gram_allreduced(
     """
     dedup = _dedup(C)
     grams = {}
-    if dedup and executor.kernel_workers() > 1:
+    if dedup:
         # decoupled: charge every rank on the main thread (seed order),
         # then run the per-grid-row SYRKs concurrently — the unique
         # Gram blocks are independent between synchronization points
@@ -150,7 +151,8 @@ def _gram_allreduced(
                     C.blocks[(i, j)], compute=False, charge_dtype=charge_dtype
                 )
         uniq = executor.run_kernels(
-            [lambda b=C.blocks[(i, 0)]: syrk_numeric(b) for i in range(grid.p)]
+            [partial(syrk_numeric, C.blocks[(i, 0)]) for i in range(grid.p)],
+            grid.p * C.ne * C.ne,
         )
         for i in range(grid.p):
             for j in range(grid.q):
@@ -158,17 +160,9 @@ def _gram_allreduced(
     else:
         for i in range(grid.p):
             for j in range(grid.q):
-                rank = grid.rank_at(i, j)
-                if dedup and j > 0:
-                    rank.qr_kernels.syrk(
-                        C.blocks[(i, j)], compute=False,
-                        charge_dtype=charge_dtype,
-                    )
-                    grams[(i, j)] = grams[(i, 0)]
-                else:
-                    grams[(i, j)] = rank.qr_kernels.syrk(
-                        C.blocks[(i, j)], charge_dtype=charge_dtype
-                    )
+                grams[(i, j)] = grid.rank_at(i, j).qr_kernels.syrk(
+                    C.blocks[(i, j)], charge_dtype=charge_dtype
+                )
     if dedup:
         res = grid.col_comm(0).allreduce(
             [grams[(i, 0)] for i in range(grid.p)], shared=True,
@@ -221,7 +215,7 @@ def _trsm_all(
     grid: Grid2D, C: DistributedMultiVector, factors: dict, charge_dtype=None
 ) -> None:
     dedup = _dedup(C)
-    if dedup and executor.kernel_workers() > 1:
+    if dedup:
         # decoupled charge/compute, as in _gram_allreduced
         for i in range(grid.p):
             for j in range(grid.q):
@@ -231,9 +225,10 @@ def _trsm_all(
                 )
         uniq = executor.run_kernels(
             [
-                lambda b=C.blocks[(i, 0)], R=factors[(i, 0)]: trsm_numeric(b, R)
+                partial(trsm_numeric, C.blocks[(i, 0)], factors[(i, 0)])
                 for i in range(grid.p)
-            ]
+            ],
+            sum(C.blocks[(i, 0)].size for i in range(grid.p)),
         )
         for i in range(grid.p):
             for j in range(grid.q):
@@ -241,18 +236,9 @@ def _trsm_all(
         return
     for i in range(grid.p):
         for j in range(grid.q):
-            rank = grid.rank_at(i, j)
-            if dedup and j > 0:
-                rank.qr_kernels.trsm(
-                    C.blocks[(i, j)], factors[(i, j)], compute=False,
-                    charge_dtype=charge_dtype,
-                )
-                C.blocks[(i, j)] = C.blocks[(i, 0)]
-            else:
-                C.blocks[(i, j)] = rank.qr_kernels.trsm(
-                    C.blocks[(i, j)], factors[(i, j)],
-                    charge_dtype=charge_dtype,
-                )
+            C.blocks[(i, j)] = grid.rank_at(i, j).qr_kernels.trsm(
+                C.blocks[(i, j)], factors[(i, j)], charge_dtype=charge_dtype,
+            )
 
 
 def cholesky_qr(

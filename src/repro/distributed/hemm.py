@@ -17,12 +17,13 @@ Execution tiers (all charge-identical; DESIGN.md §5b/§5c):
 
 * **seed** — one charged GEMM per grid block, partials allreduced
   blockwise.  The only tier for non-aliased or phantom inputs.
-* **decoupled** — aliased inputs with an ``out`` buffer or kernel
-  workers > 1: the per-rank modeled charges are issued first on the
+* **decoupled** — aliased inputs with an ``out`` buffer (the filter's
+  workspace): the per-rank modeled charges are issued first on the
   main thread (``compute=False``, exact seed order), then the same
   per-block arithmetic runs as pure closures through
-  ``repro.runtime.executor``, writing root results into preallocated
-  storage.  Bit-identical numerics to the seed tier.
+  ``repro.runtime.executor`` — concurrently on the host's cores —
+  writing root results into preallocated storage.  Bit-identical
+  numerics to the seed tier.
 * **fused** (``repro.distributed.replication.hemm_fusion``) — the
   paper's fewer-larger-operations playbook applied to the simulator
   host: per grid row ``i`` the C->B direction computes all ``q``
@@ -58,6 +59,8 @@ local blocks are replaced via ``DistributedHermitian.replace_local``.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 
@@ -109,13 +112,10 @@ def _chunk_view(buf, sl: slice):
     return buf[:, sl]
 
 
-# -- module-level numeric kernels (DESIGN.md §5h) -----------------------------------
-# The executor tiers dispatch these as picklable KernelCall descriptors
-# so the mp backend can run them in worker processes.  Operands are
-# passed in their *stored* layout (full blocks plus slice objects,
-# transposition applied inside) — a pickled view would arrive
-# contiguous, and a different memory layout could perturb the BLAS
-# result in the last ulp, breaking cross-backend bit-identity.
+# -- module-level numeric kernels (DESIGN.md §5c) -----------------------------------
+# The decoupled tiers hand these to the executor as closures.  Operands
+# are passed in their *stored* layout (full blocks plus slice objects,
+# transposition applied inside), the exact operands of the seed tier.
 
 def panel_cb_numeric(P, Xfull, cols, pairs_i, gamma, alpha, offs, *, out):
     """C->B fused row panel: ``out = alpha (P^T X - gamma overlaps)``."""
@@ -393,9 +393,7 @@ class DistributedHemm:
                 X, cols, width, to_b, alpha, gamma, out,
                 dedup and numeric_h, fused, rdtype, payload, work_tier,
             )
-        if dedup and numeric_h and (
-            fused or out is not None or executor.kernel_workers() > 1
-        ):
+        if dedup and numeric_h and (fused or out is not None):
             return self._apply_decoupled(
                 X, cols, width, to_b, alpha, gamma, out, fused, rdtype,
                 payload, work_tier,
@@ -484,7 +482,7 @@ class DistributedHemm:
         every per-rank modeled charge (GEMM, overlap AXPYs, scale) with
         ``compute=False`` — phantom shape proxies stand in for result
         arrays that do not exist yet.  Pass 2 runs the pure numeric
-        closures (optionally fused, optionally on the worker pool) and
+        closures (optionally fused; concurrently via the executor) and
         the reductions.  Clocks, tracer and CommStats therefore see the
         byte-identical sequence of every other tier.
         """
@@ -589,13 +587,12 @@ class DistributedHemm:
                 [(j, self._pairs(i, j)) for j in range(q)]
                 if gamma != 0.0 else None
             )
-            calls.append(executor.KernelCall(
+            calls.append(partial(
                 panel_cb_numeric,
-                (P, X.local(i, 0), cols, pairs_i, gamma, alpha, offs),
-                out=tgt, cacheable=(0,),
+                P, X.local(i, 0), cols, pairs_i, gamma, alpha, offs, out=tgt,
             ))
             panels.append(tgt)
-        executor.run_kernels(calls)
+        executor.run_kernels(calls, sum(t.size for t in panels))
         return panels, base
 
     def _fused_cb_blocks(self, roots, base, out):
@@ -632,13 +629,12 @@ class DistributedHemm:
                 [(j, self._pairs(i, j)) for j in range(q)]
                 if gamma != 0.0 else None
             )
-            calls.append(executor.KernelCall(
-                panel_bc_numeric,
-                (P, Bstack, pairs_i, gamma, alpha, offs),
-                out=tgt, cacheable=(0,),
+            calls.append(partial(
+                panel_bc_numeric, P, Bstack, pairs_i, gamma, alpha, offs,
+                out=tgt,
             ))
             tgts.append(tgt)
-        executor.run_kernels(calls)
+        executor.run_kernels(calls, sum(t.size for t in tgts))
         return tgts
 
     def _block_partials(self, X, cols, width, to_b, alpha, gamma, out, rdtype,
@@ -660,7 +656,6 @@ class DistributedHemm:
         for i in range(p):
             for j in range(q):
                 Hij = self._local_work(i, j, rdtype, tier)
-                stable_h = True  # cached operand, content-stable per H.version
                 if to_b:
                     if complex_h:
                         # cached conj for complex (exact seed operand
@@ -671,7 +666,6 @@ class DistributedHemm:
                             Hop = Hc
                         else:
                             Hop = Hij.conj()
-                            stable_h = False  # per-call temporary
                     else:
                         Hop = Hij  # .T inside the kernel, free for real blocks
                     trans = True
@@ -691,22 +685,20 @@ class DistributedHemm:
                 else:
                     tgt = self._scratch_arr(("pb", i, j), (rows, width), rdtype)
                 pairs = self._pairs(i, j) if gamma != 0.0 else None
-                calls.append(executor.KernelCall(
+                calls.append(partial(
                     block_numeric,
-                    (Hop, trans, X.local(i, j), cols, pairs, gamma, alpha,
-                     to_b),
-                    out=tgt, cacheable=(0,) if stable_h else (),
+                    Hop, trans, X.local(i, j), cols, pairs, gamma, alpha, to_b,
+                    out=tgt,
                 ))
                 partials[(i, j)] = tgt
-        executor.run_kernels(calls)
+        executor.run_kernels(calls, sum(t.size for t in partials.values()))
         return partials
 
     def _numeric_per_block(self, X, cols, width, to_b, alpha, gamma, out, rdtype,
                            payload=None, tier=None):
         """Seed-granularity numerics (partials + shared reductions).
 
-        Used when fusion is off but an ``out`` buffer or a worker pool
-        is in play.
+        Used when fusion is off and an ``out`` buffer is in play.
         """
         grid = self.grid
         p, q = grid.p, grid.q

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.runtime.executor import blas_thread_guard
+
 __all__ = ["uniform_spectrum", "matrix_with_spectrum", "uniform_matrix"]
 
 
@@ -32,7 +34,8 @@ def matrix_with_spectrum(
     """Dense Hermitian matrix with exactly the given eigenvalues.
 
     ``A = Q^H D Q`` with a Haar-ish random ``Q`` (QR of a random square
-    matrix with the R-diagonal sign fix).
+    matrix with the R-diagonal sign fix).  The BLAS pools are pinned to
+    one thread, so a seed gives the same bits on every host.
     """
     eigs = np.asarray(eigenvalues, dtype=np.float64)
     N = eigs.shape[0]
@@ -41,12 +44,13 @@ def matrix_with_spectrum(
     X = rng.standard_normal((N, N))
     if dtype.kind == "c":
         X = X + 1j * rng.standard_normal((N, N))
-    Q, R = np.linalg.qr(X)
-    # sign fix makes Q Haar-distributed
-    d = np.diagonal(R).copy()
-    d[d == 0] = 1.0
-    Q = Q * (d / np.abs(d))[None, :]
-    A = (Q.conj().T * eigs[None, :]) @ Q
+    with blas_thread_guard():
+        Q, R = np.linalg.qr(X)
+        # sign fix makes Q Haar-distributed
+        d = np.diagonal(R).copy()
+        d[d == 0] = 1.0
+        Q = Q * (d / np.abs(d))[None, :]
+        A = (Q.conj().T * eigs[None, :]) @ Q
     A = 0.5 * (A + A.conj().T)
     return A.astype(dtype)
 

@@ -23,8 +23,6 @@ from repro.runtime.rank import RankContext
 from repro.runtime.cluster import VirtualCluster
 from repro.runtime.communicator import CollectiveRequest, Communicator
 from repro.runtime.executor import (
-    KernelCall,
-    kernel_plane_scope,
     kernel_worker_scope,
     kernel_workers,
     run_kernels,
@@ -76,8 +74,6 @@ __all__ = [
     "kernel_worker_scope",
     "set_kernel_fault_hook",
     "run_kernels",
-    "KernelCall",
-    "kernel_plane_scope",
     "TRANSPORTS",
     "Transport",
     "TransportError",

@@ -1,30 +1,36 @@
-"""Parallel execution of independent numeric kernel closures.
+"""Concurrent execution of independent per-rank kernel batches.
 
 Between two synchronization points (collectives), the per-rank kernels
 of the simulated cluster are *independent*: each unique block's GEMM /
-SYRK / TRSM touches only its own operands.  The seed path executes them
-sequentially in one host process; this module runs them on a thread
-pool instead.  NumPy releases the GIL inside BLAS/LAPACK calls, so the
-closures genuinely overlap on multi-core hosts.
+SYRK / TRSM / axpby touches only its own output storage — in the paper
+each rank drives its own GPU and these blocks run at the same time.
+:func:`run_kernels` runs such a batch on every host core: NumPy
+releases the GIL inside BLAS/LAPACK, so the closures genuinely overlap.
 
 The executor deliberately knows nothing about the cost model.  Callers
-must charge all modeled time on the main thread *before* dispatching
-(the decoupled charge/compute pattern used by
-``repro.distributed.hemm`` and ``repro.core.qr``): the closures handed
-to :func:`run_kernels` are pure array math.  That split is what keeps
-modeled makespans, per-phase breakdowns and CommStats bit-identical
-for every worker count — the clocks and tracer are never touched off
-the main thread.
+charge all modeled time on the main thread *before* dispatching (the
+decoupled charge/compute pattern of ``repro.distributed.hemm``,
+``repro.core.filter.mv_axpby`` and ``repro.core.qr``): the closures
+handed to :func:`run_kernels` are pure array math, each writing
+disjoint storage.  That keeps eigenpairs, modeled makespans, per-phase
+breakdowns and CommStats bit-identical for every worker count.
 
-Oversubscription guard: while worker threads run, the process BLAS
-threadpool is limited to one thread per call (via ``threadpoolctl``
-when available, else a best-effort ctypes call into OpenBLAS, else a
-no-op) so ``workers x blas_threads`` cannot exceed the host.
+**Dispatch.**  The worker count defaults to the host's usable cores
+(``len(os.sched_getaffinity(0))``); :func:`kernel_worker_scope` pins
+it in process (``kernel_worker_scope(1)`` is the serial reference).  A
+batch runs inline on the calling thread when it has one call, when the
+worker count is one, or when its outputs total fewer than
+:data:`INLINE_ELEMENTS` elements — Lanczos width-1 applies and small
+axpbys cost less than a thread hand-off.  A larger batch is split
+caller-runs style: the calling thread takes ``calls[0::n]`` and each of
+the ``n - 1`` pool threads one other strided share, so a batch costs a
+single hand-off per worker.
 
-The worker count is a global switch in the style of
-``repro.distributed.replication``: default 1 (serial — the exact seed
-execution), overridable via the ``REPRO_KERNEL_WORKERS`` environment
-variable or :func:`set_kernel_workers` / :func:`kernel_worker_scope`.
+**BLAS pools.**  :func:`blas_thread_guard` pins every OpenBLAS in the
+process (numpy's and scipy's wheels each bundle one) to one thread and
+restores their counts on exit.  ``ChaseSolver.solve`` holds it for the
+whole solve, so kernel bits never depend on the host's BLAS pool size
+and the pool threads above cannot oversubscribe the host.
 """
 
 from __future__ import annotations
@@ -32,71 +38,36 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import ctypes.util
+import functools
+import importlib.util
 import os
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Sequence
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
+from typing import Callable, Sequence
 
 __all__ = [
-    "KernelCall",
+    "INLINE_ELEMENTS",
     "kernel_workers",
     "set_kernel_workers",
     "kernel_worker_scope",
-    "kernel_plane",
-    "set_kernel_plane",
-    "kernel_plane_scope",
     "kernel_fault_hook",
     "set_kernel_fault_hook",
     "run_kernels",
     "blas_thread_guard",
 ]
 
+#: batches whose outputs total fewer elements than this run inline
+INLINE_ELEMENTS = 8192
 
-class KernelCall:
-    """A picklable kernel invocation: ``fn(*args, out=out)``.
-
-    The portable form of the executor's closures (DESIGN.md §5h):
-    ``fn`` must be a module-level function and ``args`` picklable, so
-    the call can ship to the mp backend's worker processes; ``out`` is
-    the main-process destination the result lands in (workers compute
-    into their own storage and the plane copies back, preserving every
-    aliasing relationship of the in-process execution).  Calling the
-    descriptor runs it locally — serial and thread-pool execution treat
-    it exactly like the closure it replaces.
-
-    ``cacheable`` lists positions of args whose *content* is immutable
-    for the transport session (the solver's H panels): the kernel plane
-    ships those once per worker and references them by token afterwards.
-    """
-
-    __slots__ = ("fn", "args", "out", "cacheable")
-
-    def __init__(self, fn, args, out=None, cacheable: tuple = ()):
-        self.fn = fn
-        self.args = tuple(args)
-        self.out = out
-        self.cacheable = tuple(cacheable)
-
-    def __call__(self):
-        if self.out is not None:
-            return self.fn(*self.args, out=self.out)
-        return self.fn(*self.args)
-
-
-def _workers_from_env() -> int:
-    raw = os.environ.get("REPRO_KERNEL_WORKERS", "").strip()
-    try:
-        return max(1, int(raw)) if raw else 1
-    except ValueError:
-        return 1
-
-
-_WORKERS = _workers_from_env()
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+    else (os.cpu_count() or 1)
 _POOL: ThreadPoolExecutor | None = None
 _POOL_SIZE = 0
+_POOL_LOCK = threading.Lock()
 
 
 def kernel_workers() -> int:
-    """Current worker count (1 = serial seed execution)."""
+    """Current worker count (1 = serial execution)."""
     return _WORKERS
 
 
@@ -116,40 +87,6 @@ def kernel_worker_scope(n: int):
         yield
     finally:
         set_kernel_workers(prev)
-
-
-# -- kernel plane (DESIGN.md §5h) --------------------------------------------------
-_KERNEL_PLANE = None
-
-
-def kernel_plane():
-    """The installed kernel-offload plane (None = in-process execution)."""
-    return _KERNEL_PLANE
-
-
-def set_kernel_plane(plane):
-    """Install a kernel plane; returns the previous one.
-
-    A plane is an object with ``run_calls(calls, workers=...)`` — the mp
-    backend's :class:`~repro.runtime.mp_backend.MpKernelPlane`.  Batches
-    route to it only when the worker count is above one *and* every item
-    is a :class:`KernelCall`; the default worker count of 1 keeps every
-    kernel in process, the exact seed execution.
-    """
-    global _KERNEL_PLANE
-    prev = _KERNEL_PLANE
-    _KERNEL_PLANE = plane
-    return prev
-
-
-@contextlib.contextmanager
-def kernel_plane_scope(plane):
-    """Context manager scoping the kernel plane (``None`` = no-op scope)."""
-    prev = set_kernel_plane(plane)
-    try:
-        yield
-    finally:
-        set_kernel_plane(prev)
 
 
 # -- fault hook (DESIGN.md §5f) ----------------------------------------------------
@@ -178,106 +115,132 @@ def set_kernel_fault_hook(hook: Callable[[], None] | None
 
 
 def _pool(n: int) -> ThreadPoolExecutor:
-    """The shared pool, (re)built lazily when the worker count changes."""
+    """The shared ``n``-thread pool, built on first use (never at import)
+    and rebuilt when the worker count changes."""
     global _POOL, _POOL_SIZE
-    if _POOL is None or _POOL_SIZE != n:
-        if _POOL is not None:
-            _POOL.shutdown(wait=True)
-        _POOL = ThreadPoolExecutor(max_workers=n, thread_name_prefix="repro-kernel")
-        _POOL_SIZE = n
-    return _POOL
+    with _POOL_LOCK:
+        if _POOL is None or _POOL_SIZE != n:
+            if _POOL is not None:
+                _POOL.shutdown(wait=True)
+            _POOL = ThreadPoolExecutor(max_workers=n,
+                                       thread_name_prefix="repro-kernel")
+            _POOL_SIZE = n
+        return _POOL
+
+
+def run_kernels(calls: Sequence[Callable[[], object]],
+                elements: int = 0) -> list:
+    """Run independent numeric closures; return their results in order.
+
+    ``elements`` is the total number of output elements the batch
+    writes.  Inline on the calling thread for a single call, a single
+    worker, or fewer than :data:`INLINE_ELEMENTS` elements; otherwise
+    split caller-runs style over the pool (module docstring).  Every
+    closure owns disjoint output storage, so the results are bitwise
+    independent of the split.  The first exception — from the caller's
+    share or a worker's — propagates after every share has finished.
+    """
+    fns = list(calls)
+    if _FAULT_HOOK is not None:
+        _FAULT_HOOK()
+    n = min(_WORKERS, len(fns))
+    if n <= 1 or elements < INLINE_ELEMENTS:
+        return [fn() for fn in fns]
+    results: list = [None] * len(fns)
+
+    def share(w: int) -> None:
+        for k in range(w, len(fns), n):
+            results[k] = fns[k]()
+
+    pool = _pool(_WORKERS - 1)
+    futures = [pool.submit(share, w) for w in range(1, n)]
+    try:
+        share(0)
+    finally:
+        wait(futures)
+    for fut in futures:
+        fut.result()
+    return results
 
 
 # -- BLAS threadpool guard ---------------------------------------------------------
-try:  # pragma: no cover - environment dependent
-    from threadpoolctl import threadpool_limits as _tp_limits
-except Exception:  # pragma: no cover
-    _tp_limits = None
+def _openblas_paths() -> list[str]:
+    """OpenBLAS builds the process may load: the copies bundled with the
+    numpy and scipy wheels (``<pkg>.libs``), else a system library."""
+    paths = []
+    for pkg in ("numpy", "scipy"):
+        spec = importlib.util.find_spec(pkg)
+        if spec is None or spec.origin is None:
+            continue
+        site = os.path.dirname(os.path.dirname(spec.origin))
+        libdir = os.path.join(site, f"{pkg}.libs")
+        if os.path.isdir(libdir):
+            paths += [os.path.join(libdir, name)
+                      for name in sorted(os.listdir(libdir))
+                      if "openblas" in name.lower()]
+    if not paths:
+        found = ctypes.util.find_library("openblas")
+        if found:
+            paths.append(found)
+    return paths
 
 
-def _openblas_handles():
-    """Best-effort (set, get) thread-count handles into OpenBLAS."""
-    import numpy as np
+#: thread-count API names, ``%s`` = ``set``/``get``: numpy's ILP64 wheel
+#: build, scipy's LP64 wheel build, then a system build
+_OPENBLAS_API = ("scipy_openblas_%s_num_threads64_",
+                 "scipy_openblas_%s_num_threads",
+                 "openblas_%s_num_threads64_",
+                 "openblas_%s_num_threads")
 
-    candidates = []
-    libdir = os.path.join(os.path.dirname(np.__file__), "..", "numpy.libs")
-    if os.path.isdir(libdir):  # manylinux wheels vendor OpenBLAS here
-        for name in sorted(os.listdir(libdir)):
-            if "openblas" in name.lower():
-                candidates.append(os.path.join(libdir, name))
-    found = ctypes.util.find_library("openblas")
-    if found:
-        candidates.append(found)
-    for path in candidates:
+
+@functools.cache
+def _openblas_handles() -> list[tuple]:
+    """``(set, get)`` thread-count handles of every OpenBLAS found."""
+    handles = []
+    for path in _openblas_paths():
         try:
             lib = ctypes.CDLL(path)
         except OSError:
             continue
-        for suffix in ("", "64_"):
-            setter = getattr(lib, f"openblas_set_num_threads{suffix}", None)
-            getter = getattr(lib, f"openblas_get_num_threads{suffix}", None)
+        for api in _OPENBLAS_API:
+            setter = getattr(lib, api % "set", None)
+            getter = getattr(lib, api % "get", None)
             if setter is not None and getter is not None:
                 setter.argtypes = [ctypes.c_int]
                 setter.restype = None
                 getter.argtypes = []
                 getter.restype = ctypes.c_int
-                return setter, getter
-    return None
+                handles.append((setter, getter))
+                break
+    return handles
 
 
-_OPENBLAS: tuple | None = None
-_OPENBLAS_PROBED = False
+_GUARD_LOCK = threading.Lock()
+_GUARD_DEPTH = 0
+_GUARD_SAVED: list[int] = []
 
 
 @contextlib.contextmanager
 def blas_thread_guard():
-    """Limit the BLAS threadpool to 1 thread for the scope's duration.
+    """Pin every OpenBLAS pool to one thread for the scope's duration.
 
-    No-op when neither ``threadpoolctl`` nor an OpenBLAS handle is
-    available — acceptable because the guard only prevents
-    oversubscription, never affects results.
+    Re-entrant and process-wide (the pools are): the outermost scope
+    saves each library's count and restores it on exit.  A no-op when
+    no OpenBLAS is found.
     """
-    global _OPENBLAS, _OPENBLAS_PROBED
-    if _tp_limits is not None:
-        with _tp_limits(limits=1):
-            yield
-        return
-    if not _OPENBLAS_PROBED:
-        _OPENBLAS_PROBED = True
-        try:
-            _OPENBLAS = _openblas_handles()
-        except Exception:  # pragma: no cover - defensive
-            _OPENBLAS = None
-    if _OPENBLAS is None:
-        yield
-        return
-    setter, getter = _OPENBLAS
-    prev = int(getter())
-    setter(1)
+    global _GUARD_DEPTH, _GUARD_SAVED
+    with _GUARD_LOCK:
+        if _GUARD_DEPTH == 0:
+            handles = _openblas_handles()
+            _GUARD_SAVED = [int(get()) for _, get in handles]
+            for setter, _ in handles:
+                setter(1)
+        _GUARD_DEPTH += 1
     try:
         yield
     finally:
-        setter(prev if prev > 0 else 1)
-
-
-def run_kernels(closures: Iterable[Callable[[], object]]) -> list:
-    """Run independent numeric closures; return their results in order.
-
-    Serial (plain loop, no pool, no guard) when the worker count is 1
-    or there is at most one closure — the exact seed execution.  With
-    workers the results are still returned in submission order
-    (``Executor.map``), and since every closure owns disjoint output
-    storage the results are bitwise independent of the worker count.
-    Exceptions propagate to the caller in either mode.
-    """
-    fns: Sequence[Callable[[], object]] = list(closures)
-    if _FAULT_HOOK is not None:
-        _FAULT_HOOK()
-    if (_KERNEL_PLANE is not None and _WORKERS > 1 and len(fns) > 1
-            and all(isinstance(fn, KernelCall) and fn.out is not None
-                    for fn in fns)):
-        return _KERNEL_PLANE.run_calls(fns, workers=_WORKERS)
-    if _WORKERS <= 1 or len(fns) <= 1:
-        return [fn() for fn in fns]
-    with blas_thread_guard():
-        return list(_pool(_WORKERS).map(lambda fn: fn(), fns))
+        with _GUARD_LOCK:
+            _GUARD_DEPTH -= 1
+            if _GUARD_DEPTH == 0:
+                for (setter, _), prev in zip(_openblas_handles(), _GUARD_SAVED):
+                    setter(max(prev, 1))

@@ -4,8 +4,8 @@ DESIGN.md §5h.  The orchestrated runtime keeps one control plane — the
 main thread walks the solver, charges every modeled cost, and records
 CommStats; that is what makes the cost model the *oracle*.  What this
 module makes pluggable is the **data plane**: who actually moves the
-multivector payloads and who runs the rank-local arithmetic when a
-collective (or kernel batch) executes.
+multivector payloads and who runs the reduction arithmetic when a
+collective executes.
 
 Three backends conform to the :class:`Transport` interface:
 
@@ -344,12 +344,6 @@ class Transport:
 
     def _make_group(self, member_ids) -> TransportGroup:
         return TransportGroup(self, member_ids)
-
-    @property
-    def kernel_plane(self):
-        """Kernel-offload plane for :func:`repro.runtime.executor.run_kernels`
-        (``None``: kernels run in process, the seed behavior)."""
-        return None
 
     def close(self) -> None:
         """Release backend resources (idempotent)."""

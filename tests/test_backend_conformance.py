@@ -23,7 +23,6 @@ from repro.runtime import (
     TransportError,
     TransportParityError,
     VirtualCluster,
-    kernel_worker_scope,
 )
 from repro.runtime.mp_backend import MpTransport, UniqueId
 from repro.runtime.transport import (
@@ -37,7 +36,7 @@ BACKENDS = ("threads", "mp")
 
 
 def _solve(backend, p=2, q=2, n=96, nev=8, nex=6, compress=None,
-           plan=None, workers=1):
+           plan=None):
     rng = np.random.default_rng(12345)
     H = uniform_matrix(n, rng=rng)
     with VirtualCluster(p * q, backend=backend) as cluster:
@@ -50,7 +49,7 @@ def _solve(backend, p=2, q=2, n=96, nev=8, nex=6, compress=None,
 
         ctx = (comm_compress_scope(compress) if compress
                else contextlib.nullcontext())
-        with ctx, kernel_worker_scope(workers):
+        with ctx:
             res = solver.solve(rng=np.random.default_rng(7),
                                return_vectors=True)
         final = solver.grid
@@ -83,15 +82,6 @@ class TestConformanceMatrix:
         np.testing.assert_array_equal(res.residual_norms, base.residual_norms)
         assert stats == stats0
         assert levels == levels0
-
-    def test_mp_kernel_plane_bit_identical(self):
-        """With REPRO_KERNEL_WORKERS above one the mp backend ships the
-        hemm/axpby batches to worker BLAS pools; bits must not move."""
-        base, stats0, _ = _solve("orchestrated", workers=1)
-        res, stats, _ = _solve("mp", workers=2)
-        np.testing.assert_array_equal(res.eigenvalues, base.eigenvalues)
-        np.testing.assert_array_equal(res.eigenvectors, base.eigenvectors)
-        assert stats == stats0
 
     def test_run_twice_identical(self):
         """The threads backend is deterministic across runs (the
