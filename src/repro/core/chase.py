@@ -34,7 +34,9 @@ from repro.core.condest import estimate_condition
 from repro.core.config import ChaseConfig
 from repro.core.degrees import optimize_degrees, sort_by_degree
 from repro.core.filter import FilterWorkspace, chebyshev_filter
-from repro.core.lanczos import SpectralBounds, lanczos_bounds, lanczos_ritz
+from repro.core.lanczos import (
+    SpectralBounds, _lanczos_sweep, lanczos_bounds, lanczos_ritz,
+)
 from repro.core.locking import plan_locking
 from repro.core.precision import (
     PrecisionPolicy,
@@ -1181,14 +1183,9 @@ class ChaseSolver:
         )
 
     def _phantom_lanczos_cost(self) -> None:
-        """Charge the Lanczos pre-processing cost in phantom mode."""
+        """Charge the Lanczos pre-processing cost in phantom mode: the
+        numeric path's block sweep, run on metadata-only buffers."""
         cfg, grid, H = self.cfg, self.grid, self.H
-        dtype = np.dtype(H.dtype)
-        V = DistributedMultiVector.zeros(grid, H.rowmap, "C", 1, dtype, True)
-        from repro.distributed.redistribute import redistribute_b_to_c
-
-        for _run in range(cfg.lanczos_runs):
-            for _k in range(cfg.lanczos_steps):
-                Bmv = self.hemm.apply(V, slice(0, 1))
-                W = DistributedMultiVector.zeros(grid, H.rowmap, "C", 1, dtype, True)
-                redistribute_b_to_c(grid, Bmv, W)
+        V = DistributedMultiVector.zeros(
+            grid, H.rowmap, "C", cfg.lanczos_runs, H.dtype, True)
+        _lanczos_sweep(self.hemm, V, cfg.lanczos_steps)

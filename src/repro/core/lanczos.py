@@ -94,44 +94,87 @@ def _scale_all(grid, X, factor: float) -> None:
             )
 
 
-def _lanczos_sweep(
-    hemm: DistributedHemm, rng: np.random.Generator, steps: int
-) -> tuple[list[float], list[float]]:
-    """One distributed Lanczos recurrence from a fresh random start.
+def _start_block(rng: np.random.Generator, N: int, runs: int,
+                 dtype: np.dtype) -> np.ndarray:
+    """``runs`` normalized random start vectors, one per column, drawn
+    run by run (real part, then imaginary part for complex dtypes)."""
+    V = np.empty((N, runs), dtype=dtype)
+    for r in range(runs):
+        v = rng.standard_normal(N)
+        if dtype.kind == "c":
+            v = v + 1j * rng.standard_normal(N)
+        V[:, r] = (v / np.linalg.norm(v)).astype(dtype)
+    return V
 
-    Returns the tridiagonal coefficients ``(alphas, betas)``; all HEMM
-    applications, redistributions and allreduces are honestly charged.
+
+def _lanczos_sweep(
+    hemm: DistributedHemm, V: DistributedMultiVector, steps: int
+) -> list[tuple[list[float], list[float]]]:
+    """Block Lanczos: every column of ``V`` runs its own recurrence, and
+    all columns advance together.
+
+    ``V`` holds unit-norm start vectors, one per column, in the ``"C"``
+    layout.  Each step is one width-``V.ne`` HEMM apply, one B->C
+    redistribution and one allreduce per batch of per-column dots; the
+    per-column ``alpha``/``beta`` broadcast through ``mv_axpby`` and
+    ``_scale_all``.  A column whose ``beta`` underflows stops recording
+    and is zeroed, so the others carry on unchanged; the sweep ends when
+    every column has stopped.  Returns each column's tridiagonal
+    coefficients ``(alphas, betas)``.  A phantom ``V`` charges the same
+    sequence for the full ``steps`` (no coefficients are computed).
     """
     grid = hemm.grid
     H = hemm.H
-    N = H.N
-    dtype = np.dtype(H.dtype)
-    v = rng.standard_normal(N)
-    if dtype.kind == "c":
-        v = v + 1j * rng.standard_normal(N)
-    v = (v / np.linalg.norm(v)).astype(dtype)
-    V = DistributedMultiVector.from_global(grid, v[:, None], H.rowmap, "C")
+    runs = V.ne
+    phantom = V.is_phantom
+    steps = max(2, min(steps, H.N - 1))
+    active = np.ones(runs, dtype=bool)
+    coeffs: list[tuple[list[float], list[float]]] = [
+        ([], []) for _ in range(runs)
+    ]
     V_prev: DistributedMultiVector | None = None
-    beta = 0.0
-    alphas: list[float] = []
-    betas: list[float] = []
+    beta = np.zeros(runs)
 
     for _k in range(steps):
-        Bmv = hemm.apply(V, slice(0, 1))
-        W = DistributedMultiVector.zeros(grid, H.rowmap, "C", 1, dtype, False)
+        Bmv = hemm.apply(V)
+        W = DistributedMultiVector.zeros(grid, H.rowmap, "C", runs, V.dtype,
+                                         phantom)
         redistribute_b_to_c(grid, Bmv, W)
-        alpha = float(_allreduce_col_dots(grid, V, W)[0].real)
+        dots = _allreduce_col_dots(grid, V, W)
+        alpha = np.zeros(runs) if phantom else np.asarray(dots.real, float)
         W = mv_axpby(1.0, W, -alpha, V)
         if V_prev is not None:
             W = mv_axpby(1.0, W, -beta, V_prev)
-        beta = float(np.sqrt(_allreduce_col_dots(grid, W, W)[0].real))
-        alphas.append(alpha)
-        betas.append(beta)
-        if beta < 1e-12 * max(abs(alpha), 1.0):
+        dots = _allreduce_col_dots(grid, W, W)
+        beta = np.ones(runs) if phantom else np.sqrt(dots.real)
+        for c in np.flatnonzero(active):
+            coeffs[c][0].append(float(alpha[c]))
+            coeffs[c][1].append(float(beta[c]))
+        active &= ~(beta < 1e-12 * np.maximum(np.abs(alpha), 1.0))
+        if not active.any():
             break
-        _scale_all(grid, W, 1.0 / beta)
+        beta = np.where(active, beta, 0.0)
+        _scale_all(grid, W, np.divide(1.0, beta, out=np.zeros(runs),
+                                      where=active))
         V_prev, V = V, W
-    return alphas, betas
+    return coeffs
+
+
+def _ritz(alphas: list[float], betas: list[float]):
+    """Ritz values, eigenvectors and Krylov residual bounds of one run."""
+    k = len(alphas)
+    theta, U = scipy.linalg.eigh_tridiagonal(
+        np.array(alphas), np.array(betas[: k - 1])
+    )
+    return theta, U, betas[k - 1] * np.abs(U[-1, :])
+
+
+def _start(hemm: DistributedHemm, rng: np.random.Generator,
+           runs: int) -> DistributedMultiVector:
+    """:func:`_start_block`, distributed in the ``"C"`` layout."""
+    H = hemm.H
+    V0 = _start_block(rng, H.N, runs, np.dtype(H.dtype))
+    return DistributedMultiVector.from_global(hemm.grid, V0, H.rowmap, "C")
 
 
 def lanczos_ritz(
@@ -149,18 +192,13 @@ def lanczos_ritz(
     what spectrum-coverage checks need: a well-converged probe value
     that is far from every accepted eigenvalue *proves* the acceptance
     missed spectrum, with no false positives regardless of probe
-    quality (DESIGN.md §5f).  All distributed work is honestly charged.
+    quality (DESIGN.md §5f).  The runs advance together as one block
+    sweep; all distributed work is honestly charged.
     """
     rng = rng if rng is not None else np.random.default_rng()
-    steps = max(2, min(steps, hemm.H.N - 1))
     out: list[tuple[np.ndarray, np.ndarray]] = []
-    for _run in range(runs):
-        alphas, betas = _lanczos_sweep(hemm, rng, steps)
-        k = len(alphas)
-        theta, U = scipy.linalg.eigh_tridiagonal(
-            np.array(alphas), np.array(betas[: k - 1])
-        )
-        resid = betas[k - 1] * np.abs(U[-1, :])
+    for alphas, betas in _lanczos_sweep(hemm, _start(hemm, rng, runs), steps):
+        theta, _U, resid = _ritz(alphas, betas)
         order = np.argsort(theta)
         out.append((theta[order], resid[order]))
     return out
@@ -174,28 +212,20 @@ def lanczos_bounds(
     runs: int = 4,
     rng: np.random.Generator | None = None,
 ) -> SpectralBounds:
-    """Estimate ``(b_sup, mu_1, mu_ne)`` with ``runs`` Lanczos sweeps."""
+    """Estimate ``(b_sup, mu_1, mu_ne)`` with ``runs`` Lanczos sweeps,
+    advanced together as one width-``runs`` block sweep."""
     if ne < 1:
         raise ValueError("ne must be >= 1")
     rng = rng if rng is not None else np.random.default_rng()
-    grid = hemm.grid
-    H = hemm.H
-    N = H.N
-    steps = max(2, min(steps, N - 1))
-    dtype = np.dtype(H.dtype)
+    N = hemm.H.N
 
     thetas: list[np.ndarray] = []
     weights: list[np.ndarray] = []
     b_sup = -np.inf
     mu1 = np.inf
 
-    for _run in range(runs):
-        alphas, betas = _lanczos_sweep(hemm, rng, steps)
-        k = len(alphas)
-        theta, U = scipy.linalg.eigh_tridiagonal(
-            np.array(alphas), np.array(betas[: k - 1])
-        )
-        resid = betas[k - 1] * np.abs(U[-1, :])
+    for alphas, betas in _lanczos_sweep(hemm, _start(hemm, rng, runs), steps):
+        theta, U, resid = _ritz(alphas, betas)
         b_sup = max(b_sup, float(np.max(theta + resid)))
         mu1 = min(mu1, float(np.min(theta - resid)))
         thetas.append(theta)

@@ -17,13 +17,18 @@ Execution tiers (all charge-identical; DESIGN.md §5b/§5c):
 
 * **seed** — one charged GEMM per grid block, partials allreduced
   blockwise.  The only tier for non-aliased or phantom inputs.
-* **decoupled** — aliased inputs with an ``out`` buffer (the filter's
-  workspace): the per-rank modeled charges are issued first on the
-  main thread (``compute=False``, exact seed order), then the same
-  per-block arithmetic runs as pure closures through
-  ``repro.runtime.executor`` — concurrently on the host's cores —
-  writing root results into preallocated storage.  Bit-identical
-  numerics to the seed tier.
+* **decoupled** — every aliased numeric apply: the per-rank modeled
+  charges are issued first on the main thread (``compute=False``,
+  exact seed order), then the numerics run as pure closures through
+  ``repro.runtime.executor`` — concurrently on the host's cores.  The
+  closures are *owner-computes*: one per reduced output block (per
+  grid column ``j`` for C->B, per grid row ``i`` for B->C), each
+  computing its ``p`` (or ``q``) partial products with the seed
+  operands, quantizing them to a compressed wire payload if one is
+  set, and summing them into the root target in rank order — the
+  accumulation order of every transport's allreduce.  The
+  communicator reductions then only charge the model
+  (``compute=False``).  Bit-identical numerics to the seed tier.
 * **fused** (``repro.distributed.replication.hemm_fusion``) — the
   paper's fewer-larger-operations playbook applied to the simulator
   host: per grid row ``i`` the C->B direction computes all ``q``
@@ -32,11 +37,12 @@ Execution tiers (all charge-identical; DESIGN.md §5b/§5c):
   for complex dtypes), and the B->C direction contracts the vertically
   stacked ``[B_0; ...; B_q-1]`` in one GEMM whose k-dimension folds the
   q-term reduction sum — the row allreduces then only charge the model
-  (``compute=False``), their host-side summation work is gone.  The
-  ``gamma``-shift and ``alpha``-scale are applied on the fused panel.
-  C->B keeps the contraction order of the seed path (row panels only
-  widen the GEMM's m-dimension) and B->C reorders the reduction sum
-  into the k-loop; both match the seed to rounding
+  (``compute=False``).  That leaves no per-rank partial to quantize, so
+  a B->C apply with a compressed payload runs the owner closures
+  instead.  The ``gamma``-shift and ``alpha``-scale are applied on the
+  fused panel.  C->B keeps the contraction order of the seed path (row
+  panels only widen the GEMM's m-dimension) and B->C reorders the
+  reduction sum into the k-loop; both match the seed to rounding
   (``<= 1e-13 * ||H||``, asserted by ``tests/test_fused_hemm.py``).
   Even C->B is not bit-exact: BLAS tiles the wider fused m-dimension
   with different SIMD tail kernels at block-boundary rows, perturbing
@@ -72,6 +78,7 @@ from repro.distributed.multivector import DistributedMultiVector
 from repro.perfmodel.collectives import payload_ratio
 from repro.perfmodel.kernels import bytes_per_scalar, elem_bytes
 from repro.runtime import executor
+from repro.runtime.communicator import _quantize_inplace
 from repro.runtime.device import LocalKernels, axpy_into_numeric
 
 __all__ = ["DistributedHemm"]
@@ -158,6 +165,22 @@ def block_numeric(Hop, trans, Xfull, cols, pairs, gamma, alpha, to_b, *, out):
     if alpha != 1.0:
         out *= alpha
     return out
+
+
+def owner_numeric(calls, payload):
+    """One reduced output block, owner-computes: run its partial-product
+    closures, quantize each partial to ``payload`` when one is set (as
+    ``Communicator._quantize_buffers`` does), then sum them into the
+    first — the root target — in rank order, ``total = b0; total += b1;
+    ...``: the accumulation order of every transport's allreduce."""
+    parts = [call() for call in calls]
+    if payload is not None:
+        for b in parts:
+            _quantize_inplace(b, payload)
+    total = parts[0]
+    for b in parts[1:]:
+        total += b
+    return total
 
 
 class DistributedHemm:
@@ -387,13 +410,16 @@ class DistributedHemm:
 
         dedup = X.aliased and not X.is_phantom
         numeric_h = not is_phantom(H.local(0, 0))
-        fused = dedup and numeric_h and replication.hemm_fusion_enabled()
+        # the fused B->C contraction sums inside its GEMM, leaving no
+        # partial to quantize: a compressed B->C apply stays per block
+        fused = dedup and numeric_h and replication.hemm_fusion_enabled() \
+            and (to_b or payload is None)
         if pipeline and replication.filter_pipeline_enabled() and width >= 2:
             return self._apply_pipelined(
                 X, cols, width, to_b, alpha, gamma, out,
                 dedup and numeric_h, fused, rdtype, payload, work_tier,
             )
-        if dedup and numeric_h and (fused or out is not None):
+        if dedup and numeric_h:
             return self._apply_decoupled(
                 X, cols, width, to_b, alpha, gamma, out, fused, rdtype,
                 payload, work_tier,
@@ -431,33 +457,23 @@ class DistributedHemm:
                     W = rank.k.scale(W, alpha)
                 contrib[(i, j)] = W
 
-        # reduction: sum the partial products across the distributed axis.
-        # With an aliased (dedup) input the result is summed once per
-        # communicator and the shared ndarray aliased into every replica.
-        if to_b:
-            for j in range(grid.q):
-                comm = grid.col_comm(j)
-                res = comm.allreduce(
-                    [contrib[(i, j)] for i in range(grid.p)], shared=dedup,
-                    payload_dtype=payload,
-                )
-                if dedup:
-                    for i in range(grid.p):
-                        contrib[(i, j)] = res[0]
-        else:
-            for i in range(grid.p):
-                comm = grid.row_comm(i)
-                res = comm.allreduce(
-                    [contrib[(i, j)] for j in range(grid.q)], shared=dedup,
-                    payload_dtype=payload,
-                )
-                if dedup:
-                    for j in range(grid.q):
-                        contrib[(i, j)] = res[0]
+        # reduction: sum the partial products across the distributed axis
+        for comm, keys in self._reduction_groups(to_b):
+            comm.allreduce([contrib[k] for k in keys], payload_dtype=payload)
 
         return DistributedMultiVector(
-            grid, out_map, out_layout, width, contrib, rdtype, aliased=dedup
+            grid, out_map, out_layout, width, contrib, rdtype
         )
+
+    def _reduction_groups(self, to_b: bool) -> list:
+        """``(communicator, rank-ordered block keys)`` of every reduced
+        output block: grid columns for C->B, grid rows for B->C."""
+        grid = self.grid
+        if to_b:
+            return [(grid.col_comm(j), [(i, j) for i in range(grid.p)])
+                    for j in range(grid.q)]
+        return [(grid.row_comm(i), [(i, j) for j in range(grid.q)])
+                for i in range(grid.p)]
 
     # -- decoupled charge / numeric execution -------------------------------------
     def _usable_out(self, out, out_layout, out_map, width, rdtype):
@@ -482,9 +498,9 @@ class DistributedHemm:
         every per-rank modeled charge (GEMM, overlap AXPYs, scale) with
         ``compute=False`` — phantom shape proxies stand in for result
         arrays that do not exist yet.  Pass 2 runs the pure numeric
-        closures (optionally fused; concurrently via the executor) and
-        the reductions.  Clocks, tracer and CommStats therefore see the
-        byte-identical sequence of every other tier.
+        closures (owner-computes or fused; concurrently via the
+        executor) and the reductions.  Clocks, tracer and CommStats
+        therefore see the byte-identical sequence of every other tier.
         """
         grid, H = self.grid, self.H
         p, q = grid.p, grid.q
@@ -523,7 +539,7 @@ class DistributedHemm:
                 X, cols, width, to_b, alpha, gamma, out, rdtype, payload, tier
             )
         else:
-            blocks, base = self._numeric_per_block(
+            blocks, base = self._numeric_owner(
                 X, cols, width, to_b, alpha, gamma, out, rdtype, payload, tier
             )
         result = DistributedMultiVector(
@@ -637,92 +653,89 @@ class DistributedHemm:
         executor.run_kernels(calls, sum(t.size for t in tgts))
         return tgts
 
-    def _block_partials(self, X, cols, width, to_b, alpha, gamma, out, rdtype,
-                        tier=None, *, persistent: bool = False):
-        """Seed-granularity partial products as executor closures.
+    def _partial_target(self, i, j, to_b, width, rdtype, out, persistent=False):
+        """Storage for grid block ``(i, j)``'s partial product.
 
-        One closure per grid block, arithmetic identical to the seed
-        tier (same operands, same operation order), root targets landing
-        in ``out``'s storage when provided.  ``persistent=True``
-        allocates every partial fresh (instead of recycling the scratch
-        workspace for non-roots) — required when the partials themselves
+        The reduction root (``i == 0`` for C->B, ``j == 0`` for B->C)
+        lands in ``out``'s storage when provided, else in a fresh array;
+        the other partials recycle the per-direction scratch workspace
+        unless ``persistent`` — required when the partials themselves
         become the result blocks (non-aliased pipelined applies).
         """
-        grid, H = self.grid, self.H
-        p, q = grid.p, grid.q
-        complex_h = np.dtype(H.dtype).kind == "c"
+        rows = (self.H.colmap.local_size(j) if to_b
+                else self.H.rowmap.local_size(i))
+        root = (0, j) if to_b else (i, 0)
+        if (i, j) == root and out is not None:
+            return out.blocks[root]
+        if (i, j) == root or persistent:
+            return np.empty((rows, width), rdtype)
+        return self._scratch_arr(("pb", to_b, i, j), (rows, width), rdtype)
+
+    def _block_call(self, X, cols, i, j, to_b, alpha, gamma, rdtype, tier,
+                    tgt):
+        """Executor closure: grid block ``(i, j)``'s partial product into
+        ``tgt``, with the seed tier's operands and operation order."""
+        Hop = self._local_work(i, j, rdtype, tier)
+        if to_b and np.dtype(self.H.dtype).kind == "c":
+            # cached conj for complex (exact seed operand layout); falls
+            # back to the per-call conj temporary when dedup is off
+            Hc = self._h_conj(i, j, rdtype, tier)
+            Hop = Hc if Hc is not None else Hop.conj()
+        pairs = self._pairs(i, j) if gamma != 0.0 else None
+        return partial(
+            block_numeric,
+            Hop, to_b, X.local(i, j), cols, pairs, gamma, alpha, to_b, out=tgt,
+        )
+
+    def _block_partials(self, X, cols, width, to_b, alpha, gamma, out, rdtype,
+                        tier=None, *, persistent: bool = False):
+        """Seed-granularity partial products, one executor closure per
+        grid block (the pipelined tier reduces them chunk by chunk)."""
         calls = []
         partials = {}
-        for i in range(p):
-            for j in range(q):
-                Hij = self._local_work(i, j, rdtype, tier)
-                if to_b:
-                    if complex_h:
-                        # cached conj for complex (exact seed operand
-                        # layout); falls back to the per-call conj
-                        # temporary when the dedup switch is off
-                        Hc = self._h_conj(i, j, rdtype, tier)
-                        if Hc is not None:
-                            Hop = Hc
-                        else:
-                            Hop = Hij.conj()
-                    else:
-                        Hop = Hij  # .T inside the kernel, free for real blocks
-                    trans = True
-                    rows = Hij.shape[1]
-                    is_root = i == 0
-                    root = (0, j)
-                else:
-                    Hop = Hij
-                    trans = False
-                    rows = Hij.shape[0]
-                    is_root = j == 0
-                    root = (i, 0)
-                if is_root and out is not None:
-                    tgt = out.blocks[root]
-                elif is_root or persistent:
-                    tgt = np.empty((rows, width), rdtype)
-                else:
-                    tgt = self._scratch_arr(("pb", i, j), (rows, width), rdtype)
-                pairs = self._pairs(i, j) if gamma != 0.0 else None
-                calls.append(partial(
-                    block_numeric,
-                    Hop, trans, X.local(i, j), cols, pairs, gamma, alpha, to_b,
-                    out=tgt,
-                ))
+        for i in range(self.grid.p):
+            for j in range(self.grid.q):
+                tgt = self._partial_target(i, j, to_b, width, rdtype, out,
+                                           persistent)
+                calls.append(self._block_call(
+                    X, cols, i, j, to_b, alpha, gamma, rdtype, tier, tgt))
                 partials[(i, j)] = tgt
         executor.run_kernels(calls, sum(t.size for t in partials.values()))
         return partials
 
-    def _numeric_per_block(self, X, cols, width, to_b, alpha, gamma, out, rdtype,
-                           payload=None, tier=None):
-        """Seed-granularity numerics (partials + shared reductions).
+    def _numeric_owner(self, X, cols, width, to_b, alpha, gamma, out, rdtype,
+                       payload=None, tier=None):
+        """Owner-computes numerics: one closure per reduced output block.
 
-        Used when fusion is off and an ``out`` buffer is in play.
+        C->B runs one :func:`owner_numeric` per grid column ``j`` over
+        its ``p`` partials, B->C one per grid row ``i`` over its ``q``
+        partials; each closure sums into its root target with the seed
+        accumulation order (quantizing first under a compressed
+        payload, which a one-member communicator never applies).  The
+        communicator reductions then only charge the model.
         """
-        grid = self.grid
-        p, q = grid.p, grid.q
-        partials = self._block_partials(
-            X, cols, width, to_b, alpha, gamma, out, rdtype, tier
-        )
-
-        blocks = {}
-        if to_b:
-            for j in range(q):
-                res = grid.col_comm(j).allreduce(
-                    [partials[(i, j)] for i in range(p)], shared=True,
-                    payload_dtype=payload,
-                )
-                for i in range(p):
-                    blocks[(i, j)] = res[0]
-        else:
-            for i in range(p):
-                res = grid.row_comm(i).allreduce(
-                    [partials[(i, j)] for j in range(q)], shared=True,
-                    payload_dtype=payload,
-                )
-                for j in range(q):
-                    blocks[(i, j)] = res[0]
+        p, q = self.grid.p, self.grid.q
+        groups = self._reduction_groups(to_b)
+        quant = payload if payload is not None \
+            and payload_ratio(rdtype, payload) < 1.0 else None
+        calls = []
+        partials = []
+        for _comm, keys in groups:
+            tgts = [self._partial_target(i, j, to_b, width, rdtype, out)
+                    for i, j in keys]
+            calls.append(partial(
+                owner_numeric,
+                [self._block_call(X, cols, i, j, to_b, alpha, gamma, rdtype,
+                                  tier, t) for (i, j), t in zip(keys, tgts)],
+                quant if len(keys) > 1 else None,
+            ))
+            partials.append(tgts)
+        roots = executor.run_kernels(
+            calls, sum(t.size for tgts in partials for t in tgts))
+        for (comm, _keys), tgts in zip(groups, partials):
+            comm.allreduce(tgts, compute=False, payload_dtype=payload)
+        blocks = {(i, j): roots[j if to_b else i]
+                  for i in range(p) for j in range(q)}
         base = out.stacked_base if out is not None else None
         return blocks, base
 
@@ -829,18 +842,8 @@ class DistributedHemm:
                     Hij = H.local(i, j)
                     rows = Hij.shape[1] if to_b else Hij.shape[0]
                     blocks[(i, j)] = PhantomArray((rows, width), rdtype)
-            if to_b:
-                groups = [
-                    (grid.col_comm(j), [blocks[(i, j)] for i in range(p)],
-                     False, True)
-                    for j in range(q)
-                ]
-            else:
-                groups = [
-                    (grid.row_comm(i), [blocks[(i, j)] for j in range(q)],
-                     False, True)
-                    for i in range(p)
-                ]
+            groups = [(comm, [blocks[k] for k in keys], False, True)
+                      for comm, keys in self._reduction_groups(to_b)]
             aliased = False
         elif fused and to_b:
             panels, base = self._fused_cb_panels(
@@ -869,18 +872,8 @@ class DistributedHemm:
                 X, cols, width, to_b, alpha, gamma,
                 out if dedup else None, rdtype, tier, persistent=not dedup,
             )
-            if to_b:
-                groups = [
-                    (grid.col_comm(j), [partials[(i, j)] for i in range(p)],
-                     dedup, True)
-                    for j in range(q)
-                ]
-            else:
-                groups = [
-                    (grid.row_comm(i), [partials[(i, j)] for j in range(q)],
-                     dedup, True)
-                    for i in range(p)
-                ]
+            groups = [(comm, [partials[k] for k in keys], dedup, True)
+                      for comm, keys in self._reduction_groups(to_b)]
             if dedup:
                 blocks = {
                     (i, j): partials[(0, j) if to_b else (i, 0)]

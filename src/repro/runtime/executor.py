@@ -20,7 +20,7 @@ breakdowns and CommStats bit-identical for every worker count.
 it in process (``kernel_worker_scope(1)`` is the serial reference).  A
 batch runs inline on the calling thread when it has one call, when the
 worker count is one, or when its outputs total fewer than
-:data:`INLINE_ELEMENTS` elements — Lanczos width-1 applies and small
+:data:`INLINE_ELEMENTS` elements — small HEMM applies and small
 axpbys cost less than a thread hand-off.  A larger batch is split
 caller-runs style: the calling thread takes ``calls[0::n]`` and each of
 the ``n - 1`` pool threads one other strided share, so a batch costs a

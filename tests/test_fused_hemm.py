@@ -10,9 +10,15 @@ Cross-checks the fused execution tier against the seed path:
   reproducible to rounding — the truly bit-identical tier is the
   decoupled per-block one, covered by ``TestOutBuffers``;
 * modeled makespans and CommStats: bit-identical in every mode;
+* the owner-computes closures of the default aliased tier reproduce the
+  seed tier bit for bit, compressed payloads included, and a fused
+  B->C apply honours a compressed payload exactly as per-block does;
 * derived caches (conjugates, panels) are version-keyed off ``H`` and
   cannot serve a mutated matrix.
 """
+
+import contextlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,11 +29,12 @@ from repro.distributed import (
     DistributedHemm,
     DistributedHermitian,
     DistributedMultiVector,
+    comm_compress_scope,
     filter_pipeline,
     hemm_fusion,
     numeric_dedup,
 )
-from repro.runtime import kernel_worker_scope
+from repro.runtime import executor, kernel_worker_scope
 from tests.conftest import make_grid
 
 
@@ -47,16 +54,19 @@ def _vectors(rng, n, ne, dtype):
 
 def _roundtrip(Hd, V, *, dedup, fused, workers=1, p=2, q=2, gamma=0.0,
                alpha=1.0, cols=None, block_size=None, pipeline=False,
-               chunks=4):
+               chunks=4, payload="none"):
     """One C->B and one B->C apply; returns gathers + modeled charges.
 
     The applies are always marked pipeline-eligible (as the filter hot
     path does); the chunked tier only engages when ``pipeline=True``
     flips the global switch, so blocking rows are byte-for-byte the
-    seed behaviour.
+    seed behaviour.  ``workers=None`` keeps the host-sized default;
+    ``payload`` compresses the reductions of a narrow ``V``.
     """
-    with numeric_dedup(dedup), hemm_fusion(fused), \
-            kernel_worker_scope(workers), filter_pipeline(pipeline, chunks):
+    workers_ctx = contextlib.nullcontext() if workers is None \
+        else kernel_worker_scope(workers)
+    with numeric_dedup(dedup), hemm_fusion(fused), workers_ctx, \
+            filter_pipeline(pipeline, chunks), comm_compress_scope(payload):
         g = make_grid(p * q, p=p, q=q)
         H = DistributedHermitian.from_dense(g, Hd, block_size=block_size)
         hemm = DistributedHemm(H)
@@ -119,6 +129,69 @@ class TestFusedCrossCheck:
         assert seed[2] == fus_on[2] and seed[3] == fus_on[3]
 
 
+class TestOwnerClosures:
+    """The default aliased tier: one owner-computes closure per reduced
+    output block, summing its partials in the transports' rank order
+    (quantized first under a compressed payload).  Bit for bit the seed
+    tier, whose partials the communicators reduce."""
+
+    @settings(max_examples=24, deadline=None)
+    @given(
+        dtype=st.sampled_from([np.float64, np.complex128]),
+        grid=st.sampled_from([(2, 2), (2, 3), (3, 2), (1, 4)]),
+        shift=st.sampled_from([(0.0, 1.0), (0.37, 1.0), (1.3, 0.4)]),
+        cyclic=st.booleans(),
+        payload=st.sampled_from(["none", "bf16", "fp16"]),
+        workers=st.sampled_from([1, None]),
+    )
+    def test_owner_matches_seed(self, dtype, grid, shift, cyclic, payload,
+                                workers):
+        p, q = grid
+        gamma, alpha = shift
+        rng = np.random.default_rng(p * 10 + q)
+        Hd = _dense(rng, 44, dtype)
+        V = _vectors(rng, 44, 6, dtype)
+        if payload != "none":
+            # payloads compress only narrow (mixed-precision) applies
+            V = V.astype(np.complex64 if V.dtype.kind == "c" else np.float32)
+        kw = dict(p=p, q=q, gamma=gamma, alpha=alpha, workers=workers,
+                  block_size=7 if cyclic else None, payload=payload)
+        # every multi-closure batch goes to the pool, however small
+        with mock.patch.object(executor, "INLINE_ELEMENTS", 0):
+            seed = _roundtrip(Hd, V, dedup=False, fused=False, **kw)
+            own = _roundtrip(Hd, V, dedup=True, fused=False, **kw)
+        assert np.array_equal(seed[0], own[0])
+        assert np.array_equal(seed[1], own[1])
+        assert seed[2] == own[2]
+        assert seed[3] == own[3]
+
+    @pytest.mark.parametrize("pipeline", [False, True])
+    @pytest.mark.parametrize("payload", ["bf16", "fp16"])
+    def test_fused_bc_honours_payload(self, payload, pipeline):
+        """A fused B->C apply folds the reduction into its GEMM, so it
+        has no partials to quantize: with a compressed payload it runs
+        the owner closures and equals the per-block apply bit for bit."""
+        rng = np.random.default_rng(96)
+        Hd = _dense(rng, 96, np.float64)
+        V = _vectors(rng, 96, 8, np.float64).astype(np.float32)
+
+        def b_to_c(fused, pl):
+            with numeric_dedup(True), hemm_fusion(fused), \
+                    filter_pipeline(pipeline, 3), comm_compress_scope(pl):
+                g = make_grid(4, p=2, q=2)
+                H = DistributedHermitian.from_dense(g, Hd)
+                B = DistributedMultiVector.from_global(g, V, H.colmap, "B")
+                C = DistributedHemm(H).apply(B, pipeline=True)
+                return (C.gather(), max(r.clock.now for r in g.ranks),
+                        g.comm_stats())
+
+        fus, blk = b_to_c(True, payload), b_to_c(False, payload)
+        assert np.array_equal(fus[0], blk[0])
+        assert fus[1] == blk[1] and fus[2] == blk[2]
+        # the payload is live: it changes the per-block result
+        assert not np.array_equal(blk[0], b_to_c(False, "none")[0])
+
+
 class TestOutBuffers:
     def test_stacked_out_receives_result(self, rng):
         Hd = _dense(rng, 40, np.float64)
@@ -139,8 +212,8 @@ class TestOutBuffers:
         assert np.array_equal(out.gather(), ref)
 
     def test_out_used_without_fusion(self, rng):
-        """out= engages the decoupled per-block tier even when fusion
-        is off — numerics stay bit-identical to the seed path."""
+        """With fusion off, an out= apply lands the owner closures'
+        sums in out's storage — bit-identical to the seed path."""
         Hd = _dense(rng, 36, np.complex128)
         V = _vectors(rng, 36, 5, np.complex128)
         seed = _roundtrip(Hd, V, dedup=False, fused=False)

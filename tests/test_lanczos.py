@@ -3,8 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.core.lanczos import lanczos_bounds
-from repro.distributed import DistributedHemm, DistributedHermitian
+from repro import ChaseConfig, ChaseSolver
+from repro.core.lanczos import _lanczos_sweep, _start_block, lanczos_bounds
+from repro.distributed import (
+    DistributedHemm,
+    DistributedHermitian,
+    DistributedMultiVector,
+)
 from repro.matrices import matrix_with_spectrum
 from tests.conftest import make_grid
 
@@ -81,3 +86,101 @@ class TestLanczosBounds:
         H = matrix_with_spectrum(lam, rng)
         b = bounds_for(H, ne=2, steps=100)
         assert b.b_sup >= 1.0 - 1e-8
+
+
+def _sweep(hemm, V0, steps=25):
+    """Block sweep from the explicit start block ``V0`` (columns)."""
+    V = DistributedMultiVector.from_global(hemm.grid, V0, hemm.H.rowmap, "C")
+    return _lanczos_sweep(hemm, V, steps)
+
+
+def _hemm(H, p=2, q=2):
+    g = make_grid(p * q, p=p, q=q)
+    return DistributedHemm(DistributedHermitian.from_dense(g, H))
+
+
+def _close(got, ref, scale):
+    """Coefficient lists equal in length and to 1e-12 of ``scale``."""
+    assert len(got) == len(ref)
+    assert np.abs(np.subtract(got, ref)).max() <= 1e-12 * scale
+
+
+class TestBlockSweep:
+    """The ``runs`` sweeps advance together as one width-``runs`` block."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_columns_match_one_column_sweeps(self, rng, dtype):
+        N, runs = 90, 4
+        lam = np.linspace(-2.0, 3.0, N)
+        hemm = _hemm(matrix_with_spectrum(lam, rng, dtype=dtype), p=2, q=3)
+        V0 = _start_block(np.random.default_rng(3), N, runs, np.dtype(dtype))
+        block = _sweep(hemm, V0)
+        for c in range(runs):
+            [(alphas, betas)] = _sweep(hemm, V0[:, c:c + 1])
+            assert len(alphas) == 25
+            _close(block[c][0], alphas, 3.0)
+            _close(block[c][1], betas, 3.0)
+
+    def test_early_stop_leaves_other_columns(self, rng):
+        """Three distinct eigenvalues: a start vector in the span of two
+        eigenspaces stops after two steps, the random ones after three;
+        the early stop leaves the other columns' coefficients as they
+        are without it."""
+        N = 60
+        lam = np.repeat([-1.0, 0.5, 2.0], N // 3)
+        H = matrix_with_spectrum(lam, rng)
+        _w, U = np.linalg.eigh(H)
+        hemm = _hemm(H)
+        V0 = _start_block(np.random.default_rng(5), N, 3, np.dtype(np.float64))
+        u = U[:, 0] + U[:, -1]
+        V0[:, 0] = u / np.linalg.norm(u)
+        block = _sweep(hemm, V0)
+        assert len(block[0][0]) == 2
+        rest = _sweep(hemm, V0[:, 1:])
+        for c in (1, 2):
+            assert len(block[c][0]) == 3
+            _close(block[c][0], rest[c - 1][0], 2.0)
+            _close(block[c][1], rest[c - 1][1], 2.0)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_generator_state_after_bounds(self, rng, dtype):
+        """Lanczos draws its start vectors run by run, so the caller's
+        generator ends where ``runs`` single start draws leave it."""
+        N, runs = 80, 4
+        H = matrix_with_spectrum(np.linspace(0.0, 1.0, N), rng, dtype=dtype)
+        used = np.random.default_rng(11)
+        lanczos_bounds(_hemm(H), 5, runs=runs, rng=used)
+        ref = np.random.default_rng(11)
+        draws = []
+        for _ in range(runs):
+            v = ref.standard_normal(N)
+            if np.dtype(dtype).kind == "c":
+                v = v + 1j * ref.standard_normal(N)
+            draws.append(v / np.linalg.norm(v))
+        assert used.bit_generator.state == ref.bit_generator.state
+        # column r of the start block is run r's draw
+        V0 = _start_block(np.random.default_rng(11), N, runs, np.dtype(dtype))
+        assert np.array_equal(V0, np.array(draws, dtype=dtype).T)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_phantom_charges_equal_numeric(self, rng, dtype):
+        """The phantom pre-processing charges exactly the numeric block
+        sweep: same Lanczos PhaseBreakdown, same CommStats."""
+        N, p, q = 150, 2, 3
+        cfg = ChaseConfig(nev=12, nex=6)
+        H = matrix_with_spectrum(np.linspace(-1.0, 1.0, N), rng, dtype=dtype)
+        g = make_grid(p * q, p=p, q=q)
+        solver = ChaseSolver(g, DistributedHermitian.from_dense(g, H), cfg)
+        with g.cluster.tracer.phase("Lanczos"):
+            lanczos_bounds(solver.hemm, cfg.ne, steps=cfg.lanczos_steps,
+                           runs=cfg.lanczos_runs,
+                           rng=np.random.default_rng(1))
+        gp = make_grid(p * q, p=p, q=q, phantom=True)
+        phantom = ChaseSolver(gp, DistributedHermitian.phantom(gp, N, dtype),
+                              cfg)
+        with gp.cluster.tracer.phase("Lanczos"):
+            phantom._phantom_lanczos_cost()
+        assert g.cluster.tracer.breakdown("Lanczos") \
+            == gp.cluster.tracer.breakdown("Lanczos")
+        assert g.comm_stats() == gp.comm_stats()
+        assert g.comm_stats_levels() == gp.comm_stats_levels()
